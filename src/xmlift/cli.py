@@ -25,7 +25,12 @@ from .fixturefile import FixtureDocument, parse_fixture
 from .groupoid import action_groupoid, is_covering_morphism, pullback_action
 from .groups import is_injective, is_surjective, kernel
 from .homotopy import homotopy_lift
-from .lifting import enumerate_liftings, lift_morphism, pullback_lifting
+from .lifting import (
+    enumerate_liftings,
+    lift_morphism,
+    pullback_lifting,
+    uniqueness_checked_by_default,
+)
 from .report import Report, ReportBuilder, render_human, render_machine
 from .xmod import classify, verify_structure
 
@@ -178,14 +183,15 @@ def cmd_liftings(doc: FixtureDocument, args: list[str], size_bound: int) -> Repo
 def cmd_lift_morphism(doc: FixtureDocument, args: list[str], size_bound: int) -> Report:
     m = doc.get("morphism", args[0])
     lift = doc.get("lifting", args[1])
-    lifted = lift_morphism(m, lift)
+    searched = uniqueness_checked_by_default(m, lift)
+    lifted = lift_morphism(m, lift, check_uniqueness=searched)
     rb = ReportBuilder("lift-morphism")
     rb.add("morphism", args[0])
     rb.add("lifting", args[1])
     rb.add("kernel_condition", "holds")
     rb.add_array("gtilde", lifted.f2.images)
     rb.add("omega_gtilde_equals_g", True)
-    rb.add("unique", True)
+    rb.add("unique", True if searched else "unchecked")
     return rb.build()
 
 
@@ -442,6 +448,8 @@ def run(argv: list[str]) -> tuple[int, str]:
             command = ns.command
             if command is None:
                 raise UsageError("no command given (or use --seed-catalog)")
+            if ns.size_bound < 0:
+                raise UsageError(f"--size-bound must be nonnegative, got {ns.size_bound}")
             if command not in COMMANDS:
                 raise UnknownCommand(f"unknown command '{command}'")
             if ns.fixture is None:

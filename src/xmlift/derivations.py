@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     FormulaMismatch,
+    InternalDefect,
     NotADerivation,
     NotASection,
     RequiresEnumeration,
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .groups import (
     GroupHom,
+    _crossed_hom_search,
     compose,
     enumerate_homs,
     generating_sequence,
@@ -79,14 +81,14 @@ def make_derivation(xm: CrossedModule, values) -> Derivation:
     for x in A.elements():
         for y in A.elements():
             if theta[A.op[x][y]] != A.op[theta[x]][theta[y]]:
-                raise AssertionError("theta is not an endomorphism")
+                raise InternalDefect("theta is not an endomorphism")
     for x in B.elements():
         for y in B.elements():
             if sigma[B.op[x][y]] != B.op[sigma[x]][sigma[y]]:
-                raise AssertionError("sigma is not an endomorphism")
+                raise InternalDefect("sigma is not an endomorphism")
     for b in B.elements():
         if theta[vals[b]] != vals[sigma[b]]:
-            raise AssertionError("theta(d(b)) != d(sigma(b))")
+            raise InternalDefect("theta(d(b)) != d(sigma(b))")
     return Derivation(xm=xm, values=vals, theta=theta, sigma=sigma)
 
 
@@ -94,34 +96,35 @@ def zero_derivation(xm: CrossedModule) -> Derivation:
     return make_derivation(xm, (0,) * xm.B.order)
 
 
-def whitehead_compose(d1: Derivation, d2: Derivation) -> Derivation:
-    """Circle product d1 o d2.
+def _circle_product(d1: Derivation, d2: Derivation, resolve) -> Derivation:
+    """Circle product d1 o d2, with ``resolve`` turning its values into a derivation.
 
     Both printed forms of the product are evaluated; they agree for every
     valid crossed module, and a disagreement is raised loudly instead of
-    being silently resolved.
+    being silently resolved. The result must have theta = theta1 theta2
+    and sigma = sigma1 sigma2.
     """
-    if d1.xm != d2.xm:
-        raise ValueError("derivations live over different crossed modules")
-    xm = d1.xm
-    A = xm.A
-    primary = tuple(
-        A.op[d1.values[d2.sigma[b]]][d2.values[b]] for b in xm.B.elements()
-    )
-    variant = tuple(
-        A.op[d1.theta[d2.values[b]]][d1.values[b]] for b in xm.B.elements()
-    )
+    A, B = d1.xm.A, d1.xm.B
+    primary = tuple(A.op[d1.values[d2.sigma[b]]][d2.values[b]] for b in B.elements())
+    variant = tuple(A.op[d1.theta[d2.values[b]]][d1.values[b]] for b in B.elements())
     if primary != variant:
         b = next(i for i, (p, v) in enumerate(zip(primary, variant)) if p != v)
         raise FormulaMismatch(
             f"circle product formulas disagree at b = {b}", witness=b
         )
-    out = make_derivation(xm, primary)
-    expect_theta = tuple(d1.theta[d2.theta[a]] for a in A.elements())
-    expect_sigma = tuple(d1.sigma[d2.sigma[b]] for b in xm.B.elements())
-    if out.theta != expect_theta or out.sigma != expect_sigma:
-        raise AssertionError("theta/sigma are not multiplicative over the product")
+    out = resolve(primary)
+    if out.theta != tuple(d1.theta[t] for t in d2.theta) or out.sigma != tuple(
+        d1.sigma[s] for s in d2.sigma
+    ):
+        raise InternalDefect("theta/sigma are not multiplicative over the product")
     return out
+
+
+def whitehead_compose(d1: Derivation, d2: Derivation) -> Derivation:
+    """Circle product d1 o d2, validated as a derivation."""
+    if d1.xm != d2.xm:
+        raise ValueError("derivations live over different crossed modules")
+    return _circle_product(d1, d2, lambda values: make_derivation(d1.xm, values))
 
 
 def brute_force_derivations(
@@ -142,52 +145,6 @@ def brute_force_derivations(
             out.append(make_derivation(xm, vals))
     out.sort(key=lambda d: d.values)
     return out
-
-
-def _pruned_derivation_search(xm: CrossedModule) -> list[tuple[int, ...]]:
-    """Backtracking over d-values in element order.
-
-    d(0) = 0 is forced by the identity at (0, 0); every new assignment is
-    propagated through the identity until the table closes or conflicts.
-    """
-    A, B = xm.A, xm.B
-    n = B.order
-    results: list[tuple[int, ...]] = []
-
-    def propagate(vals: list[int | None], queue: list[int]) -> bool:
-        while queue:
-            _ = queue.pop()
-            for b in range(n):
-                if vals[b] is None:
-                    continue
-                for b1 in range(n):
-                    if vals[b1] is None:
-                        continue
-                    t = B.op[b][b1]
-                    v = A.op[vals[b]][xm.act(b, vals[b1])]
-                    if vals[t] is None:
-                        vals[t] = v
-                        queue.append(t)
-                    elif vals[t] != v:
-                        return False
-        return True
-
-    def extend(vals: list[int | None]) -> None:
-        free = next((b for b in range(n) if vals[b] is None), None)
-        if free is None:
-            results.append(tuple(vals))  # type: ignore[arg-type]
-            return
-        for a in A.elements():
-            trial = list(vals)
-            trial[free] = a
-            if propagate(trial, [free]):
-                extend(trial)
-
-    start: list[int | None] = [None] * n
-    start[0] = 0
-    if propagate(start, [0]):
-        extend(start)
-    return sorted(set(results))
 
 
 @dataclass(frozen=True)
@@ -215,46 +172,50 @@ class DerivationSemigroup:
 
 
 def enumerate_derivations(
-    xm: CrossedModule, *, size_bound: int = 10**6, method: str = "pruned"
+    xm: CrossedModule, *, size_bound: int = 10**6
 ) -> DerivationSemigroup:
     """Enumerate Der(B, A) and build the Whitehead semigroup structure.
 
-    The default pruned search backtracks with the derivation identity as a
-    propagation constraint; ``method="brute"`` scans all |A| ** |B| maps
-    instead and is retained as a cross check.
+    A derivation is a crossed homomorphism B -> A, determined by its values
+    on the generators of B; the generator-schedule search tries every
+    element of A for each generator and keeps the maps satisfying the
+    derivation identity on all pairs. Each element is then validated once.
+
+    The product table is built by evaluating each circle product from the
+    values and looking it up among the elements, which proves closure; the
+    looked-up element is checked to have theta = theta1 theta2 and
+    sigma = sigma1 sigma2. Associativity follows without a triple scan:
+
+        ((d1 o d2) o d3)(b) = d1(sigma2 sigma3 b) + d2(sigma3 b) + d3(b)
+        (d1 o (d2 o d3))(b) = d1(sigma_{d2 o d3} b) + d2(sigma3 b) + d3(b)
+
+    and sigma_{d2 o d3} = sigma2 sigma3 is checked for every pair.
     """
-    if method == "brute":
-        elems = brute_force_derivations(xm, size_bound=size_bound)
-    elif method == "pruned":
-        branch = xm.A.order ** max(len(generating_sequence(xm.B)), 1)
-        if branch > size_bound:
-            raise SizeBound("pruned search space exceeds the configured bound")
-        elems = [make_derivation(xm, vals) for vals in _pruned_derivation_search(xm)]
-    else:
-        raise ValueError(f"unknown enumeration method '{method}'")
+    A, B = xm.A, xm.B
+    gens = generating_sequence(B)
+    if A.order ** max(len(gens), 1) > size_bound:
+        raise SizeBound("pruned search space exceeds the configured bound")
+    found = _crossed_hom_search(
+        B, A, xm.action.table, gens, [list(A.elements())] * len(gens)
+    )
+    elems = [make_derivation(xm, values) for values in found]
     pos = {d.values: i for i, d in enumerate(elems)}
-    table = []
-    for d1 in elems:
-        row = []
-        for d2 in elems:
-            prod = whitehead_compose(d1, d2)
-            if prod.values not in pos:
-                raise AssertionError("Der(B, A) is not closed under the product")
-            row.append(pos[prod.values])
-        table.append(tuple(row))
-    zero_idx = pos[(0,) * xm.B.order]
-    if zero_idx != 0:
-        raise AssertionError("zero derivation is not the first canonical element")
-    for i in range(len(elems)):
-        if table[0][i] != i or table[i][0] != i:
-            raise AssertionError("zero derivation is not a two-sided identity")
+
+    def lookup(values):
+        if values not in pos:
+            raise InternalDefect("Der(B, A) is not closed under the product")
+        return elems[pos[values]]
+
+    table = tuple(
+        tuple(pos[_circle_product(d1, d2, lookup).values] for d2 in elems)
+        for d1 in elems
+    )
+    if pos.get((0,) * B.order) != 0:
+        raise InternalDefect("zero derivation is not the first canonical element")
     size = len(elems)
     for i in range(size):
-        for j in range(size):
-            tij = table[i][j]
-            for k in range(size):
-                if table[tij][k] != table[i][table[j][k]]:
-                    raise AssertionError("circle product is not associative")
+        if table[0][i] != i or table[i][0] != i:
+            raise InternalDefect("zero derivation is not a two-sided identity")
     units = tuple(
         i
         for i in range(size)
@@ -263,7 +224,7 @@ def enumerate_derivations(
     return DerivationSemigroup(
         xm=xm,
         elements=tuple(elems),
-        product_table=tuple(table),
+        product_table=table,
         unit_indices=units,
     )
 
@@ -320,7 +281,7 @@ def is_regular(
         searched=searched,
     )
     if not cert.consistent:
-        raise AssertionError(f"regularity criteria disagree: {cert}")
+        raise InternalDefect(f"regularity criteria disagree: {cert}")
     return theta_bij, cert
 
 
@@ -335,10 +296,10 @@ def lift_derivation(d: Derivation, lift: Lifting) -> Derivation:
     values = tuple(d.values[lift.omega.images[x]] for x in lift.X.elements())
     lifted = make_derivation(lift.induced, values)
     if lifted.theta != d.theta:
-        raise AssertionError("theta changed under derivation lifting")
+        raise InternalDefect("theta changed under derivation lifting")
     for x in lift.X.elements():
         if d.sigma[lift.omega.images[x]] != lift.omega.images[lifted.sigma[x]]:
-            raise AssertionError("sigma does not intertwine with omega")
+            raise InternalDefect("sigma does not intertwine with omega")
     return lifted
 
 

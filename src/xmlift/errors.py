@@ -218,3 +218,11 @@ class SizeBound(XmliftError):
 
 class UnknownCommand(XmliftError):
     exit_code = 22
+
+
+# -- internal consistency ----------------------------------------------------------------------
+
+class InternalDefect(XmliftError):
+    """A fact that follows from validated inputs failed to hold: a bug in xmlift."""
+
+    exit_code = 23

@@ -417,6 +417,40 @@ def _evaluation_schedule(
     return schedule
 
 
+def _crossed_hom_search(
+    source: FiniteGroup,
+    target: FiniteGroup,
+    act: Table,
+    gens: list[int],
+    candidates: list[list[int]],
+) -> list[tuple[int, ...]]:
+    """Every f: source -> target with f(x+y) = f(x) + x.f(y), sorted.
+
+    ``act[x]`` is the row of x acting on target: identity rows give
+    homomorphisms, the rows of an action give derivations (crossed
+    homomorphisms). Each choice of images for ``gens`` (the generating
+    sequence of source) from ``candidates`` forces f along the evaluation
+    schedule, f(e+g) = f(e) + e.f(g), and is kept when the identity holds
+    on all pairs.
+    """
+    schedule = _evaluation_schedule(source, gens)
+    sop, top = source.op, target.op
+    n = source.order
+    found = []
+    for cand in itertools.product(*candidates):
+        f = [0] * n
+        for p, e, k in schedule:
+            f[p] = top[f[e]][act[e][cand[k]]]
+        for x in range(n):
+            row, ax, tx = sop[x], act[x], top[f[x]]
+            if any(f[row[y]] != tx[ax[f[y]]] for y in range(n)):
+                break
+        else:
+            found.append(tuple(f))
+    found.sort()
+    return found
+
+
 def enumerate_homs(
     source: FiniteGroup,
     target: FiniteGroup,
@@ -425,11 +459,11 @@ def enumerate_homs(
 ) -> list[GroupHom]:
     """All homomorphisms source -> target, sorted by image table.
 
-    Searches over generator images, pruned by element order divisibility,
-    then verifies the full homomorphism property for each candidate.
+    A generator of order m may only map to an element whose order divides
+    m; the generator-schedule search runs over those images with the
+    trivial action.
     """
     gens = generating_sequence(source)
-    schedule = _evaluation_schedule(source, gens)
     allowed = []
     for g in gens:
         g_order = source.element_order(g)
@@ -438,21 +472,11 @@ def enumerate_homs(
         )
     if prod(len(a) for a in allowed) > size_bound:
         raise SizeBound("hom enumeration search space exceeds the configured bound")
-    homs = []
-    n = source.order
-    for cand in itertools.product(*allowed):
-        images = [0] * n
-        for p, e, k in schedule:
-            images[p] = target.op[images[e]][cand[k]]
-        ok = all(
-            images[source.op[x][y]] == target.op[images[x]][images[y]]
-            for x in range(n)
-            for y in range(n)
-        )
-        if ok:
-            homs.append(GroupHom(source, target, tuple(images)))
-    homs.sort(key=lambda h: h.images)
-    return homs
+    identity_rows = (tuple(target.elements()),) * source.order
+    return [
+        GroupHom(source, target, images)
+        for images in _crossed_hom_search(source, target, identity_rows, gens, allowed)
+    ]
 
 
 @dataclass(frozen=True)
@@ -525,28 +549,17 @@ def automorphism_group(
             f"automorphism enumeration bounded at order {size_bound}, group has {group.order}"
         )
     gens = generating_sequence(group)
-    schedule = _evaluation_schedule(group, gens)
     n = group.order
     by_order: dict[int, list[int]] = {}
     for x in group.elements():
         by_order.setdefault(group.element_order(x), []).append(x)
-    perms = []
-    for cand in itertools.product(
-        *[by_order.get(group.element_order(g), []) for g in gens]
-    ):
-        images = [0] * n
-        for p, e, k in schedule:
-            images[p] = group.op[images[e]][cand[k]]
-        if len(set(images)) != n:
-            continue
-        ok = all(
-            images[group.op[x][y]] == group.op[images[x]][images[y]]
-            for x in range(n)
-            for y in range(n)
-        )
-        if ok:
-            perms.append(tuple(images))
-    perms = sorted(set(perms))
+    allowed = [by_order[group.element_order(g)] for g in gens]
+    identity_rows = (tuple(group.elements()),) * n
+    perms = [
+        images
+        for images in _crossed_hom_search(group, group, identity_rows, gens, allowed)
+        if len(set(images)) == n
+    ]
     pos = {perm: i for i, perm in enumerate(perms)}
     table = [
         [pos[tuple(f[g[x]] for x in range(n))] for g in perms]

@@ -17,13 +17,16 @@ from .errors import (
     CM1Violation,
     CM2Violation,
     InducedCMViolation,
+    InternalDefect,
     KernelConditionFails,
     KernelViolation,
+    NotEquivariant,
     NotSubgroupOfKernel,
     NotTransitive,
     OmegaViolation,
     PhiViolation,
     SizeBound,
+    SquareNotCommuting,
     TriangleViolation,
     WellDefinednessDefect,
 )
@@ -120,9 +123,9 @@ def lifting_from_subgroup(base: CrossedModule, sub: Subgroup) -> Lifting:
     omega = make_hom(X, base.B, tuple(base.boundary.images[r] for r in rep_of))
     lift = make_lifting(base, X, proj, omega)
     if tuple(kernel(proj).elements) != sub.elements:
-        raise AssertionError("quotient lifting kernel does not equal C")
+        raise InternalDefect("quotient lifting kernel does not equal C")
     if kernel(omega).order * sub.order != len(ker_alpha):
-        raise AssertionError("|ker omega| * |C| != |ker alpha|")
+        raise InternalDefect("|ker omega| * |C| != |ker alpha|")
     return lift
 
 
@@ -184,6 +187,13 @@ def compose_lifting_morphisms(
     return make_lifting_morphism(inner.source, outer.target, compose(outer.f, inner.f))
 
 
+def uniqueness_checked_by_default(m: XModMorphism, lift: Lifting) -> bool:
+    """True when lift_morphism runs its uniqueness search unasked, that is
+    while the hom search space |X| ** |gens B~| is at most 5000."""
+    gens = generating_sequence(m.source.B)
+    return lift.X.order ** max(len(gens), 1) <= 5000
+
+
 def lift_morphism(
     m: XModMorphism, lift: Lifting, *, check_uniqueness: bool | None = None
 ) -> XModMorphism:
@@ -222,10 +232,9 @@ def lift_morphism(
     g_tilde = make_hom(src.B, lift.X, images)
     lifted = make_morphism(src, lift.induced, m.f1, g_tilde)
     if compose(lift.omega, g_tilde).images != m.f2.images:
-        raise AssertionError("omega . g~ != g for a lifted morphism")
+        raise InternalDefect("omega . g~ != g for a lifted morphism")
     if check_uniqueness is None:
-        gens = generating_sequence(src.B)
-        check_uniqueness = lift.X.order ** max(len(gens), 1) <= 5000
+        check_uniqueness = uniqueness_checked_by_default(m, lift)
     if check_uniqueness:
         count = 0
         for h in enumerate_homs(src.B, lift.X):
@@ -233,11 +242,11 @@ def lift_morphism(
                 continue
             try:
                 make_morphism(src, lift.induced, m.f1, h)
-            except Exception:
+            except (SquareNotCommuting, NotEquivariant):
                 continue
             count += 1
         if count != 1:
-            raise AssertionError(
+            raise InternalDefect(
                 f"expected exactly one lifted morphism, found {count}"
             )
     return lifted
@@ -272,16 +281,16 @@ def pullback_functor(m: XModMorphism, h: LiftingMorphism) -> LiftingMorphism:
     """Apply the pullback construction to a morphism of liftings, h |-> h x 1."""
     if h.source.base != m.target:
         raise BaseMismatch("lifting morphism does not live over the morphism target")
-    pulled_src, _ = pullback_lifting(m, h.source)
-    pulled_tgt, _ = pullback_lifting(m, h.target)
-    _, src_pi1, _ = pullback_group(h.source.omega, m.f2)
-    _, tgt_pi1, tgt_pi2 = pullback_group(h.target.omega, m.f2)
+    # pi2 of each fiber product is the pulled omega, pi1 the morphism's f2
+    pulled_src, onto_src = pullback_lifting(m, h.source)
+    pulled_tgt, onto_tgt = pullback_lifting(m, h.target)
     tgt_pos = {
-        (tgt_pi1.images[i], tgt_pi2.images[i]): i for i in pulled_tgt.X.elements()
+        (onto_tgt.f2.images[i], pulled_tgt.omega.images[i]): i
+        for i in pulled_tgt.X.elements()
     }
     images = []
     for i in pulled_src.X.elements():
-        x = src_pi1.images[i]
+        x = onto_src.f2.images[i]
         b = pulled_src.omega.images[i]
         images.append(tgt_pos[(h.f.images[x], b)])
     f_map = make_hom(pulled_src.X, pulled_tgt.X, images)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     CM1Violation,
     CM2Violation,
+    InternalDefect,
     NotEquivariant,
     NotNormal,
     SquareNotCommuting,
@@ -114,7 +115,7 @@ def verify_structure(xm: CrossedModule) -> StructureReport:
         ),
     )
     if not report.all_true:
-        raise AssertionError(f"structure defect in a validated crossed module: {report}")
+        raise InternalDefect(f"structure defect in a validated crossed module: {report}")
     return report
 
 

@@ -95,6 +95,70 @@ def test_size_bound_flag():
     assert "SizeBound" in out
 
 
+def test_negative_size_bound_is_usage_error():
+    code, out = run(
+        ["--fixture", "fixtures/z4.xmf", "--size-bound", "-5", "liftings", "xm"]
+    )
+    assert code == 2
+    assert "UsageError" in out
+
+
+def test_internal_defect_is_reported(monkeypatch):
+    import xmlift.xmod as xmod
+    from xmlift.groups import make_subgroup
+
+    # a trivial center makes the kernel of (Z4, Z2, mod two) look non-central
+    monkeypatch.setattr(xmod, "center", lambda group: make_subgroup(group, (0,)))
+    code, out = run(["--fixture", "fixtures/z4.xmf", "--format", "machine", "check"])
+    assert code == 23
+    report = parse_machine(out)
+    assert report.value("error.category") == "InternalDefect"
+    assert report.value("status") == "error"
+
+
+_LARGE_LIFT = """\
+V   : group = catalog Z2xZ2
+A   : group = catalog Z72
+B   : group = catalog Z2
+idV : hom = V -> V : 0 1 2 3
+trV : action = V on V : trivial
+sx  : xmod = V V idV trV
+al  : hom = A -> B : {mod2}
+tr  : action = B on A : trivial
+xm  : xmod = A B al tr
+idA : hom = A -> A : {ident}
+f   : hom = V -> A : 0 36 0 36
+g   : hom = V -> B : 0 0 0 0
+m   : morphism = sx -> xm : f g
+L   : lifting = xm : A idA al
+""".format(
+    mod2=" ".join(str(k % 2) for k in range(72)),
+    ident=" ".join(str(k) for k in range(72)),
+)
+
+
+def test_lift_morphism_reports_skipped_uniqueness_search(tmp_path):
+    from xmlift import lift_morphism, parse_fixture
+    from xmlift.lifting import uniqueness_checked_by_default
+
+    # |X| ** |gens V| = 72 ** 2 exceeds the uniqueness search bound of 5000
+    doc = parse_fixture(_LARGE_LIFT)
+    m, lift = doc.get("morphism", "m"), doc.get("lifting", "L")
+    assert not uniqueness_checked_by_default(m, lift)
+    lifted = lift_morphism(m, lift, check_uniqueness=True)
+    assert lifted.f2.images == (0, 36, 0, 36)
+
+    path = tmp_path / "large.xmf"
+    path.write_text(_LARGE_LIFT, encoding="utf-8")
+    code, out = run(
+        ["--fixture", str(path), "--format", "machine", "lift-morphism", "m", "L"]
+    )
+    assert code == 0
+    report = parse_machine(out)
+    assert report.value("unique") == "unchecked"
+    assert report.value("gtilde") == "0,36,0,36"
+
+
 def test_console_entry_point(golden_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "xmlift.cli", "--seed-catalog", "--format", "machine"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,14 @@ from xmlift import (
     find_sections,
     is_regular,
     lift_derivation,
+    make_crossed_module,
     make_derivation,
     make_hom,
     whitehead_compose,
     zero_derivation,
 )
-from xmlift.groups import identity_hom
+from xmlift.catalog import _perm_group
+from xmlift.groups import conjugation_action, identity_hom, trivial_action
 
 from conftest import catalog_xmods, v4_pr1_base, z4_mod2_base
 
@@ -123,6 +126,16 @@ def test_product_table_associative_and_closed(xmods):
             assert t[t[i][j]][k] == t[i][t[j][k]]
 
 
+def test_product_table_matches_whitehead_compose(xmods):
+    # the lookup-built table against the product validated as a derivation
+    for name, xm in xmods.items():
+        semi = enumerate_derivations(xm)
+        for i, d1 in enumerate(semi.elements):
+            for j, d2 in enumerate(semi.elements):
+                expected = semi.index_of(whitehead_compose(d1, d2))
+                assert semi.product_table[i][j] == expected, name
+
+
 def test_both_formulas_agree(xmods):
     for xm in xmods.values():
         semi = enumerate_derivations(xm)
@@ -152,6 +165,28 @@ def test_theta_sigma_multiplicative(xmods):
                 assert prod.sigma == tuple(
                     d1.sigma[d2.sigma[b]] for b in xm.B.elements()
                 )
+
+
+def _s4_identity_xmod():
+    perms = sorted(itertools.permutations(range(4)))
+    s4 = _perm_group(perms, ["".join(map(str, p)) for p in perms])
+    return make_crossed_module(s4, s4, identity_hom(s4), conjugation_action(s4))
+
+
+def test_s4_identity_conjugation_counts():
+    semi = enumerate_derivations(_s4_identity_xmod())
+    assert semi.order == 58
+    assert len(semi.unit_indices) == 24
+
+
+@pytest.mark.parametrize("n", [16, 28])
+def test_cyclic_identity_trivial_counts(n):
+    zn = catalog_group(f"Z{n}")
+    xm = make_crossed_module(zn, zn, identity_hom(zn), trivial_action(zn, zn))
+    semi = enumerate_derivations(xm)
+    assert semi.order == n
+    units = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert len(semi.unit_indices) == units
 
 
 # -- regularity ------------------------------------------------------------------------
@@ -189,9 +224,9 @@ def test_requires_enumeration_error():
 def test_enumeration_size_bound():
     xm = catalog_xmods()["aut_s3"]
     with pytest.raises(errors.SizeBound):
-        enumerate_derivations(xm, size_bound=100, method="brute")
+        brute_force_derivations(xm, size_bound=100)
     with pytest.raises(errors.SizeBound):
-        enumerate_derivations(xm, size_bound=10, method="pruned")
+        enumerate_derivations(xm, size_bound=10)
 
 
 # -- lifting derivations ------------------------------------------------------------------

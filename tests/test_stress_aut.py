@@ -1,9 +1,9 @@
-"""Pruned derivation search beyond brute force reach: D4 and Q8.
+"""Derivation search beyond brute force reach: D4 and Q8.
 
 The automorphism crossed module of Q8 has |A| ** |B| = 8 ** 24 candidate
-maps, so only the propagation-pruned search is feasible; the semigroup
-construction then revalidates closure, associativity and the unit
-structure exhaustively on the result.
+maps, so only the generator-schedule search (|A| ** |gens B| candidates)
+is feasible; the semigroup construction then proves closure,
+associativity and the unit structure on the result.
 """
 
 from __future__ import annotations
