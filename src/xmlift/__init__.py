@@ -1,6 +1,6 @@
 """Finite crossed modules, their liftings, homotopies, derivations, and
-the matching group-groupoid actions, all validated exhaustively at desk
-scale."""
+the matching group-groupoid actions, all validated at construction by
+complete proofs from generating sets at desk scale."""
 
 __version__ = "0.1.0"
 

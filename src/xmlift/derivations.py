@@ -29,6 +29,8 @@ from .errors import (
 from .groups import (
     GroupHom,
     _crossed_hom_search,
+    _first_failure,
+    _hom_failure,
     compose,
     enumerate_homs,
     generating_sequence,
@@ -58,8 +60,13 @@ class Derivation:
 def make_derivation(xm: CrossedModule, values) -> Derivation:
     """Validate the derivation identity and derive theta and sigma.
 
-    The cached maps are additionally checked to be endomorphisms and to
-    satisfy theta(d(b)) = d(sigma(b)); both facts follow from the axioms,
+    The identity d(b+s) = d(b) + b.d(s) is checked for s in
+    ``B.generators``. Induction step: if s and t pass, d(b+s+t) =
+    d(b+s) + (b+s).d(t) = d(b) + b.d(s) + b.(s.d(t)) = d(b) + b.d(s+t), so
+    s+t passes, and the passing elements form a subgroup containing the
+    generators. The cached maps are additionally checked to be
+    endomorphisms, from generators as in ``groups._hom_failure``, and to
+    satisfy theta(d(b)) = d(sigma(b)); these facts follow from the axioms,
     so a failure there is reported as an internal defect.
     """
     vals = tuple(int(v) for v in values)
@@ -69,23 +76,23 @@ def make_derivation(xm: CrossedModule, values) -> Derivation:
     for v in vals:
         if not 0 <= v < A.order:
             raise NotADerivation(f"derivation value {v} out of range")
-    for b in B.elements():
-        for b1 in B.elements():
-            if vals[B.op[b][b1]] != A.op[vals[b]][xm.act(b, vals[b1])]:
-                raise NotADerivation(
-                    f"derivation identity fails at (b,b1) = ({b},{b1})",
-                    witness=(b, b1),
-                )
+    act = xm.action.table
+    failing = _first_failure(
+        lambda b, b1: vals[B.op[b][b1]] != A.op[vals[b]][act[b][vals[b1]]],
+        ((b, s) for s in B.generators for b in B.elements()),
+        itertools.product(B.elements(), repeat=2),
+    )
+    if failing is not None:
+        b, b1 = failing
+        raise NotADerivation(
+            f"derivation identity fails at (b,b1) = ({b},{b1})", witness=failing
+        )
     theta = tuple(A.op[vals[xm.boundary.images[a]]][a] for a in A.elements())
     sigma = tuple(B.op[xm.boundary.images[vals[b]]][b] for b in B.elements())
-    for x in A.elements():
-        for y in A.elements():
-            if theta[A.op[x][y]] != A.op[theta[x]][theta[y]]:
-                raise InternalDefect("theta is not an endomorphism")
-    for x in B.elements():
-        for y in B.elements():
-            if sigma[B.op[x][y]] != B.op[sigma[x]][sigma[y]]:
-                raise InternalDefect("sigma is not an endomorphism")
+    if _hom_failure(theta, A, A) is not None:
+        raise InternalDefect("theta is not an endomorphism")
+    if _hom_failure(sigma, B, B) is not None:
+        raise InternalDefect("sigma is not an endomorphism")
     for b in B.elements():
         if theta[vals[b]] != vals[sigma[b]]:
             raise InternalDefect("theta(d(b)) != d(sigma(b))")

@@ -4,7 +4,9 @@ A groupoid is stored flat: morphism index arrays for source and target, a
 partial composition table (-1 marks undefined entries), per-object
 identities and a total inversion table. A group-groupoid adds compatible
 group structures on objects and morphisms; structural maps must be
-homomorphisms and the interchange law must hold wherever defined.
+homomorphisms and the interchange law must hold wherever defined. Both
+are proven from generating sets; a failure is reported at the first
+witness of the exhaustive scan.
 
 Composition follows h o g defined exactly when d0(h) = d1(g). For pairs
 coming from an action groupoid this reads (g', s') o (g, s) = (g' o g, s)
@@ -17,7 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GGActionViolation, GroupoidViolation, NotAMorphism
-from .groups import FiniteGroup, GroupHom, Table, make_group, pullback_group
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Table,
+    _first_failure,
+    _greedy_generators,
+    _hom_failure,
+    make_group,
+    pullback_group,
+)
 
 UNDEFINED = -1
 
@@ -46,7 +57,12 @@ class FiniteGroupoid:
 def make_groupoid(
     n_objects: int, src, tgt, compose, identities, inverse
 ) -> FiniteGroupoid:
-    """Validate the category and inverse axioms exhaustively."""
+    """Validate the category and inverse axioms by scanning every cell.
+
+    Composition here is partial and there is no group law yet, so no
+    generating set applies; the group-level axioms of a group-groupoid are
+    proven from generators in ``make_group_groupoid``.
+    """
     src = tuple(int(v) for v in src)
     tgt = tuple(int(v) for v in tgt)
     compose = tuple(tuple(int(v) for v in row) for row in compose)
@@ -160,62 +176,77 @@ class GroupGroupoid:
         )
 
 
+def _pair_sum_failure(left: FiniteGroup, right: FiniteGroup, value: Table, plus: Table):
+    """First (u, v, u2, v2), in order, at which value[u + u2][v + v2] is
+    UNDEFINED or differs from value[u][v] + value[u2][v2], or None.
+
+    The pairs (u, v) of left x right with value[u][v] defined are listed in
+    lexicographic order, and the law is checked for every pair p and every
+    q of a generating set picked greedily from them, or (0, 0) when that is
+    empty; ``plus`` is the group law on the values. Induction step: if s
+    and t pass, p + s is a pair, so p + s + t is one and value(p+s+t) =
+    value(p+s) + value(t) = value(p) + value(s) + value(t) =
+    value(p) + value(s+t); the passing elements are closed under the sum,
+    and every pair is a sum of generators.
+    """
+    lop, rop = left.op, right.op
+    pairs = [(u, v) for u in left.elements() for v in right.elements() if value[u][v] != UNDEFINED]
+    gens = _greedy_generators(
+        pairs, ((0, 0),), lambda p, q: (lop[p[0]][q[0]], rop[p[1]][q[1]])
+    ) or [(0, 0)]
+
+    def fails(u, v, u2, v2):
+        w = value[lop[u][u2]][rop[v][v2]]
+        return w == UNDEFINED or w != plus[value[u][v]][value[u2][v2]]
+
+    return _first_failure(
+        fails,
+        ((u, v, *s) for s in gens for u, v in pairs),
+        ((*p, *q) for p in pairs for q in pairs),
+    )
+
+
 def make_group_groupoid(
     groupoid: FiniteGroupoid,
     object_group: FiniteGroup,
     morphism_group: FiniteGroup,
 ) -> GroupGroupoid:
-    """Check hom compatibility of the structural maps plus interchange."""
+    """Check hom compatibility of the structural maps plus interchange.
+
+    d0, d1, the identity assignment and groupoid inversion are checked to
+    be homomorphisms from generators (see ``groups._hom_failure``).
+    Interchange says that (h, g) |-> h o g is a homomorphism on the
+    composable pairs, a subgroup of Mor x Mor; it is checked from a
+    generating set of them (see ``_pair_sum_failure``).
+    """
     if object_group.order != groupoid.n_objects:
         raise GroupoidViolation("object group order does not match the object count")
     if morphism_group.order != groupoid.n_morphisms:
         raise GroupoidViolation("morphism group order does not match the morphism count")
     mor, ob = morphism_group, object_group
-    for label, table in (("d0", groupoid.src), ("d1", groupoid.tgt)):
-        for m1 in mor.elements():
-            for m2 in mor.elements():
-                if table[mor.op[m1][m2]] != ob.op[table[m1]][table[m2]]:
-                    raise GroupoidViolation(
-                        f"{label} is not a homomorphism at ({m1},{m2})",
-                        witness=(m1, m2),
-                    )
-    for x in ob.elements():
-        for y in ob.elements():
-            if (
-                groupoid.identities[ob.op[x][y]]
-                != mor.op[groupoid.identities[x]][groupoid.identities[y]]
-            ):
-                raise GroupoidViolation(
-                    f"identity assignment is not a homomorphism at ({x},{y})",
-                    witness=(x, y),
-                )
-    for m1 in mor.elements():
-        for m2 in mor.elements():
-            if groupoid.inverse[mor.op[m1][m2]] != mor.op[groupoid.inverse[m1]][groupoid.inverse[m2]]:
-                raise GroupoidViolation(
-                    f"groupoid inversion is not a homomorphism at ({m1},{m2})",
-                    witness=(m1, m2),
-                )
-    for h in mor.elements():
-        for g in mor.elements():
-            if groupoid.compose[h][g] == UNDEFINED:
-                continue
-            for h2 in mor.elements():
-                for g2 in mor.elements():
-                    if groupoid.compose[h2][g2] == UNDEFINED:
-                        continue
-                    lhs = groupoid.compose[mor.op[h][h2]][mor.op[g][g2]]
-                    if lhs == UNDEFINED:
-                        raise GroupoidViolation(
-                            "sum of composable pairs is not composable",
-                            witness=(h, g, h2, g2),
-                        )
-                    rhs = mor.op[groupoid.compose[h][g]][groupoid.compose[h2][g2]]
-                    if lhs != rhs:
-                        raise GroupoidViolation(
-                            f"interchange fails at ((h,g),(h2,g2)) = (({h},{g}),({h2},{g2}))",
-                            witness=(h, g, h2, g2),
-                        )
+    for label, images, source, target in (
+        ("d0", groupoid.src, mor, ob),
+        ("d1", groupoid.tgt, mor, ob),
+        ("identity assignment", groupoid.identities, ob, mor),
+        ("groupoid inversion", groupoid.inverse, mor, mor),
+    ):
+        failing = _hom_failure(images, source, target)
+        if failing is not None:
+            x, y = failing
+            raise GroupoidViolation(
+                f"{label} is not a homomorphism at ({x},{y})", witness=failing
+            )
+    failing = _pair_sum_failure(mor, mor, groupoid.compose, mor.op)
+    if failing is not None:
+        h, g, h2, g2 = failing
+        if groupoid.compose[mor.op[h][h2]][mor.op[g][g2]] == UNDEFINED:
+            raise GroupoidViolation(
+                "sum of composable pairs is not composable", witness=failing
+            )
+        raise GroupoidViolation(
+            f"interchange fails at ((h,g),(h2,g2)) = (({h},{g}),({h2},{g2}))",
+            witness=failing,
+        )
     return GroupGroupoid(
         groupoid=groupoid, object_group=object_group, morphism_group=morphism_group
     )
@@ -367,6 +398,14 @@ class GGAction:
 def make_gg_action(
     gg: GroupGroupoid, X: FiniteGroup, omega: GroupHom, act
 ) -> GGAction:
+    """Validate an action of a group-groupoid on X over omega.
+
+    The definedness pattern, the endpoints, the identity action and
+    (h o g).x = h.(g.x) are checked cell by cell. Interchange says that
+    (g, x) |-> g.x is a homomorphism on the defined pairs, a subgroup of
+    Mor x X; it is checked from a generating set of them (see
+    ``_pair_sum_failure``).
+    """
     rows = tuple(tuple(int(v) for v in row) for row in act)
     if omega.source != X or omega.target != gg.object_group:
         raise ValueError("omega is not wired as X -> Ob(G)")
@@ -405,25 +444,15 @@ def make_gg_action(
                         witness=(h, g, x),
                     )
     mor = gg.morphism_group
-    for g in range(gpd.n_morphisms):
-        for x in X.elements():
-            if rows[g][x] == UNDEFINED:
-                continue
-            for g2 in range(gpd.n_morphisms):
-                for x2 in X.elements():
-                    if rows[g2][x2] == UNDEFINED:
-                        continue
-                    combined = rows[mor.op[g][g2]][X.op[x][x2]]
-                    if combined == UNDEFINED:
-                        raise GGActionViolation(
-                            "sum of defined pairs is undefined",
-                            witness=(g, x, g2, x2),
-                        )
-                    if combined != X.op[rows[g][x]][rows[g2][x2]]:
-                        raise GGActionViolation(
-                            f"interchange fails at ((g,x),(g2,x2)) = (({g},{x}),({g2},{x2}))",
-                            witness=(g, x, g2, x2),
-                        )
+    failing = _pair_sum_failure(mor, X, rows, X.op)
+    if failing is not None:
+        g, x, g2, x2 = failing
+        if rows[mor.op[g][g2]][X.op[x][x2]] == UNDEFINED:
+            raise GGActionViolation("sum of defined pairs is undefined", witness=failing)
+        raise GGActionViolation(
+            f"interchange fails at ((g,x),(g2,x2)) = (({g},{x}),({g2},{x2}))",
+            witness=failing,
+        )
     return GGAction(gg=gg, X=X, omega=omega, act=rows)
 
 
@@ -478,8 +507,8 @@ def action_groupoid(action: GGAction) -> tuple[GroupGroupoid, GroupGroupoidMorph
     return new_gg, projection
 
 
-def pullback_action(f: GroupGroupoidMorphism, action: GGAction) -> GGAction:
-    """Pull an action of the target back along f, acting on X x_Ob Ob(G~)."""
+def _pullback_action(f: GroupGroupoidMorphism, action: GGAction) -> tuple[GGAction, GroupHom]:
+    """The pulled-back action together with the projection of its space onto X."""
     if action.gg != f.target:
         raise ValueError("action does not belong to the morphism target")
     src_gg = f.source
@@ -498,7 +527,12 @@ def pullback_action(f: GroupGroupoidMorphism, action: GGAction) -> GGAction:
                 moved = action.act[f.f1.images[g]][p1.images[y]]
                 row.append(pos[(moved, gpd.tgt[g])])
         rows.append(tuple(row))
-    return make_gg_action(src_gg, pulled, p2, rows)
+    return make_gg_action(src_gg, pulled, p2, rows), p1
+
+
+def pullback_action(f: GroupGroupoidMorphism, action: GGAction) -> GGAction:
+    """Pull an action of the target back along f, acting on X x_Ob Ob(G~)."""
+    return _pullback_action(f, action)[0]
 
 
 @dataclass(frozen=True)
@@ -538,15 +572,14 @@ def pullback_action_morphism(
     """The pullback functor on action morphisms, h |-> h x 1."""
     from .groups import make_hom
 
-    pulled_src = pullback_action(f, h.source)
-    pulled_tgt = pullback_action(f, h.target)
-    _, sp1, sp2 = pullback_group(h.source.omega, f.f0)
-    _, tp1, tp2 = pullback_group(h.target.omega, f.f0)
+    # the omega of each pulled action is the second projection of its space
+    pulled_src, sp1 = _pullback_action(f, h.source)
+    pulled_tgt, tp1 = _pullback_action(f, h.target)
     tgt_pos = {
-        (tp1.images[i], tp2.images[i]): i for i in pulled_tgt.X.elements()
+        (tp1.images[i], pulled_tgt.omega.images[i]): i for i in pulled_tgt.X.elements()
     }
     images = [
-        tgt_pos[(h.f.images[sp1.images[i]], sp2.images[i])]
+        tgt_pos[(h.f.images[sp1.images[i]], pulled_src.omega.images[i])]
         for i in pulled_src.X.elements()
     ]
     fmap = make_hom(pulled_src.X, pulled_tgt.X, images)

@@ -5,14 +5,17 @@ Conventions used throughout the package:
 * the identity always sits at index 0 (construction relabels if needed),
 * all tables are immutable tuples, safe to share between threads,
 * enumerations return canonically ordered, deterministic results,
-* validation scans run in lexicographic element order and report the
+* validators prove each axiom from a generating set and, only when it
+  fails, scan every cell in lexicographic element order to report the
   first violating witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -78,6 +81,16 @@ class FiniteGroup:
             for b in self.elements()
         )
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set grown greedily by index, computed once.
+
+        The validators check over it, so it is never empty: the trivial
+        group gets (0,), and a check over it still tests the identity.
+        """
+        op = self.op
+        return tuple(_greedy_generators(self.elements(), (0,), lambda a, s: op[a][s])) or (0,)
+
     def element_order(self, a: int) -> int:
         x, k = a, 1
         while x != 0:
@@ -89,52 +102,90 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _first_failure(fails, proof_cells, cells):
+    """The first of ``cells``, in order, at which ``fails`` holds, or None.
+
+    ``proof_cells`` lie among ``cells``, and their passing proves the axiom
+    on all of ``cells``: each caller's docstring gives the induction step.
+    So ``cells`` are scanned only after a proof cell fails, and a rejected
+    table reports the same first witness as an exhaustive scan.
+    """
+    if not any(itertools.starmap(fails, proof_cells)):
+        return None
+    return next(cell for cell in cells if fails(*cell))
+
+
+def _first_row_failure(sides, proof_cells, cells):
+    """``_first_failure`` for a law compared a row at a time.
+
+    ``sides(*cell)`` gives both sides of the law as sequences over its last
+    variable; the failing cell is returned with the first index at which
+    they differ appended.
+    """
+    failing = _first_failure(lambda *cell: operator.ne(*sides(*cell)), proof_cells, cells)
+    if failing is None:
+        return None
+    left, right = sides(*failing)
+    return (*failing, next(i for i, (u, v) in enumerate(zip(left, right)) if u != v))
+
+
 def make_group(table, names=None) -> FiniteGroup:
     """Validate a raw Cayley table and return the canonical group.
 
-    The table must be square with entries in range; associativity, a
-    two-sided identity and two-sided inverses are checked exhaustively.
+    The table must be square with entries in range. Associativity is
+    proven by Light's test: (x.s).y = x.(s.y) for all x, y and every s of
+    a set S that generates the table as a magma, picked greedily without
+    assuming any axiom: every element is a product ((s1.s2).s3)... of
+    elements of S. Induction step: if s and t pass, (x.(s.t)).y =
+    ((x.s).t).y = (x.s).(t.y) = x.(s.(t.y)) = x.((s.t).y), so s.t passes,
+    and the passing elements contain every product of elements of S.
+    Then a two-sided identity and two-sided inverses are checked.
     If the identity is not at index 0 the elements are relabeled by the
     transposition swapping it with 0.
     """
-    rows = [tuple(int(v) for v in row) for row in table]
+    rows = [tuple(map(int, row)) for row in table]
     n = len(rows)
     if n == 0:
         raise MalformedTable("empty Cayley table")
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedTable(f"row {i} has length {len(row)}, expected {n}", witness=i)
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise MalformedTable(f"entry op({i},{j}) = {v} out of range 0..{n - 1}", witness=(i, j))
+        if min(row) < 0 or max(row) >= n:
+            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+            raise MalformedTable(f"entry op({i},{j}) = {v} out of range 0..{n - 1}", witness=(i, j))
     if names is not None:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise MalformedTable(f"{len(names)} element names for {n} elements")
 
-    for a in range(n):
-        row_a = rows[a]
-        for b in range(n):
-            ab = row_a[b]
-            row_b = rows[b]
-            for c in range(n):
-                if rows[ab][c] != row_a[row_b[c]]:
-                    raise NotAssociative(
-                        f"op(op({a},{b}),{c}) != op({a},op({b},{c}))", witness=(a, b, c)
-                    )
+    # the magma generators: 0 comes last, as it is usually a product
+    magma_gens = _greedy_generators((*range(1, n), 0), (), lambda a, s: rows[a][s])
 
-    e = None
-    for x in range(n):
-        if all(rows[x][y] == y and rows[y][x] == y for y in range(n)):
-            e = x
-            break
+    def sides(a, b):
+        """Both sides of the associative law over c: (a.b).c and a.(b.c)."""
+        return rows[rows[a][b]], tuple(map(rows[a].__getitem__, rows[b]))
+
+    failing = _first_row_failure(
+        sides,
+        ((x, s) for s in magma_gens for x in range(n)),
+        itertools.product(range(n), repeat=2),
+    )
+    if failing is not None:
+        a, b, c = failing
+        raise NotAssociative(f"op(op({a},{b}),{c}) != op({a},op({b},{c}))", witness=failing)
+
+    columns = tuple(zip(*rows))
+    plain = tuple(range(n))
+    e = next((x for x in range(n) if rows[x] == plain and columns[x] == plain), None)
     if e is None:
         raise NoIdentity("table has no two-sided identity")
 
+    # in a finite monoid a one-sided inverse is two-sided and unique, so
+    # the first b with a.b = e is the only candidate
     inverse = []
     for a in range(n):
-        b = next((b for b in range(n) if rows[a][b] == e and rows[b][a] == e), None)
-        if b is None:
+        b = rows[a].index(e) if e in rows[a] else None
+        if b is None or rows[b][a] != e:
             raise NoInverse(f"element {a} has no two-sided inverse", witness=a)
         inverse.append(b)
 
@@ -142,16 +193,12 @@ def make_group(table, names=None) -> FiniteGroup:
         # canonical relabeling: swap labels 0 and e
         s = list(range(n))
         s[0], s[e] = e, 0
-        rows = [[s[rows[s[i]][s[j]]] for j in range(n)] for i in range(n)]
+        rows = [tuple(map(s.__getitem__, map(rows[s[i]].__getitem__, s))) for i in range(n)]
         inverse = [s[inverse[s[i]]] for i in range(n)]
         if names is not None:
             names = tuple(names[s[i]] for i in range(n))
 
-    return FiniteGroup(
-        op=tuple(tuple(row) for row in rows),
-        inverse=tuple(inverse),
-        element_names=names,
-    )
+    return FiniteGroup(op=tuple(rows), inverse=tuple(inverse), element_names=names)
 
 
 @dataclass(frozen=True)
@@ -169,9 +216,26 @@ class GroupHom:
         return f"GroupHom({self.source.order}->{self.target.order}, {list(self.images)})"
 
 
+def _hom_failure(images, source: FiniteGroup, target: FiniteGroup):
+    """First (x, y), in order, with f(x+y) != f(x) + f(y), or None.
+
+    The identity is checked for every x and every y in
+    ``source.generators``. Induction step: if s and t pass, f(x+s+t) =
+    f(x+s) + f(t) = f(x) + f(s) + f(t) = f(x) + f(s+t), so s+t passes, and
+    the passing elements form a subgroup containing the generators.
+    """
+    sop, top = source.op, target.op
+    return _first_failure(
+        lambda x, y: images[sop[x][y]] != top[images[x]][images[y]],
+        ((x, s) for s in source.generators for x in source.elements()),
+        itertools.product(source.elements(), repeat=2),
+    )
+
+
 def make_hom(source: FiniteGroup, target: FiniteGroup, images) -> GroupHom:
-    """Validate that ``images`` defines a homomorphism from source to target."""
-    images = tuple(int(v) for v in images)
+    """Validate that ``images`` defines a homomorphism from source to target,
+    from the generators of source (see ``_hom_failure``)."""
+    images = tuple(map(int, images))
     if len(images) != source.order:
         raise MalformedTable(
             f"{len(images)} images for a source of order {source.order}"
@@ -179,12 +243,10 @@ def make_hom(source: FiniteGroup, target: FiniteGroup, images) -> GroupHom:
     for a, v in enumerate(images):
         if not 0 <= v < target.order:
             raise MalformedTable(f"image of {a} is {v}, out of range", witness=a)
-    for x in source.elements():
-        for y in source.elements():
-            if images[source.op[x][y]] != target.op[images[x]][images[y]]:
-                raise NotHomomorphism(
-                    f"map({x}+{y}) != map({x})+map({y})", witness=(x, y)
-                )
+    failing = _hom_failure(images, source, target)
+    if failing is not None:
+        x, y = failing
+        raise NotHomomorphism(f"map({x}+{y}) != map({x})+map({y})", witness=failing)
     return GroupHom(source=source, target=target, images=images)
 
 
@@ -334,20 +396,43 @@ def pullback_group(
     return grp, pi1, pi2
 
 
-def closure(group: FiniteGroup, seed) -> frozenset[int]:
-    """Smallest subgroup of ``group`` containing ``seed``."""
-    known = {0} | set(seed)
-    frontier = list(known)
+def _span(known: set, frontier, gens, add) -> set:
+    """Grow ``known`` by everything reached from ``frontier`` by adding
+    elements of ``gens`` on the right, and return it. From {0} in a finite
+    group this is the subgroup ``gens`` generate; nothing else about
+    ``add`` is assumed."""
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(known):
-                for c in (group.op[a][b], group.op[b][a]):
-                    if c not in known:
-                        known.add(c)
-                        fresh.append(c)
+            for s in gens:
+                c = add(a, s)
+                if c not in known:
+                    known.add(c)
+                    fresh.append(c)
         frontier = fresh
-    return frozenset(known)
+    return known
+
+
+def _greedy_generators(elements, seed, add) -> list:
+    """Elements picked in the order of ``elements``: each one not yet
+    reached from ``seed`` and the earlier picks, adding picks on the right,
+    is picked."""
+    gens: list = []
+    known = set(seed)
+    for x in elements:
+        if x not in known:
+            gens.append(x)
+            # a path leaving the old span first steps along x
+            fresh = ({x} | {add(a, x) for a in known}) - known
+            known |= fresh
+            _span(known, fresh, gens, add)
+    return gens
+
+
+def closure(group: FiniteGroup, seed) -> frozenset[int]:
+    """Smallest subgroup of ``group`` containing ``seed``."""
+    op = group.op
+    return frozenset(_span({0}, [0], sorted(set(seed)), lambda a, s: op[a][s]))
 
 
 def subgroups(group: FiniteGroup, *, size_bound: int = DEFAULT_SIZE_BOUND) -> list[Subgroup]:
@@ -387,14 +472,9 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
 
 
 def generating_sequence(group: FiniteGroup) -> list[int]:
-    """A small deterministic generating set, grown greedily by index."""
-    gens: list[int] = []
-    known: frozenset[int] = frozenset({0})
-    for g in range(1, group.order):
-        if g not in known:
-            gens.append(g)
-            known = closure(group, gens)
-    return gens
+    """A small deterministic generating set, grown greedily by index; it is
+    ``group.generators`` without the 0 that stands in for the trivial group."""
+    return [g for g in group.generators if g != 0]
 
 
 def _evaluation_schedule(
@@ -431,7 +511,10 @@ def _crossed_hom_search(
     homomorphisms). Each choice of images for ``gens`` (the generating
     sequence of source) from ``candidates`` forces f along the evaluation
     schedule, f(e+g) = f(e) + e.f(g), and is kept when the identity holds
-    on all pairs.
+    for every x and every y in ``source.generators``. Induction step: if s
+    and t pass, f(x+s+t) = f(x+s) + (x+s).f(t) = f(x) + x.f(s) + x.(s.f(t))
+    = f(x) + x.f(s+t), so s+t passes, and the passing elements form a
+    subgroup containing the generators.
     """
     schedule = _evaluation_schedule(source, gens)
     sop, top = source.op, target.op
@@ -441,11 +524,11 @@ def _crossed_hom_search(
         f = [0] * n
         for p, e, k in schedule:
             f[p] = top[f[e]][act[e][cand[k]]]
-        for x in range(n):
-            row, ax, tx = sop[x], act[x], top[f[x]]
-            if any(f[row[y]] != tx[ax[f[y]]] for y in range(n)):
-                break
-        else:
+        if all(
+            f[sop[x][s]] == top[f[x]][act[x][f[s]]]
+            for s in source.generators
+            for x in range(n)
+        ):
             found.append(tuple(f))
     found.sort()
     return found
@@ -492,30 +575,53 @@ class GroupAction:
 
 
 def make_action(actor: FiniteGroup, space: FiniteGroup, table) -> GroupAction:
-    """Validate the automorphism action axioms exhaustively."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    """Validate the automorphism action axioms from generating sets.
+
+    b.(s+a) = b.s + b.a is checked for s in ``space.generators`` and
+    (b+s).a = b.(s.a) for s in ``actor.generators``, for all b and a.
+    Induction steps: if s and t pass the first, b.(s+t+a) = b.s + b.(t+a)
+    = b.s + b.t + b.a = b.(s+t) + b.a; if they pass the second,
+    (b+s+t).a = (b+s).(t.a) = b.(s.(t.a)) = b.((s+t).a). Either way s+t
+    passes, and the passing elements form a subgroup containing the
+    generators.
+    """
+    rows = tuple(tuple(map(int, row)) for row in table)
     if len(rows) != actor.order or any(len(r) != space.order for r in rows):
         raise MalformedTable("action table shape does not match actor x space")
-    for row in rows:
-        for v in row:
-            if not 0 <= v < space.order:
-                raise MalformedTable("action table entry out of range")
-    for b in actor.elements():
-        for a in space.elements():
-            for a2 in space.elements():
-                if rows[b][space.op[a][a2]] != space.op[rows[b][a]][rows[b][a2]]:
-                    raise ActionAxiomViolation(
-                        f"b*(a+a') fails at (b,a,a') = ({b},{a},{a2})",
-                        witness=(b, a, a2),
-                    )
-    for b in actor.elements():
-        for b2 in actor.elements():
-            for a in space.elements():
-                if rows[actor.op[b][b2]][a] != rows[b][rows[b2][a]]:
-                    raise ActionAxiomViolation(
-                        f"(b+b')*a fails at (b,b',a) = ({b},{b2},{a})",
-                        witness=(b, b2, a),
-                    )
+    if any(min(row) < 0 or max(row) >= space.order for row in rows):
+        raise MalformedTable("action table entry out of range")
+    aop, sop = actor.op, space.op
+
+    def additive(b, a):
+        """Both sides of b.(a+a') = b.a + b.a' over a'."""
+        row = rows[b]
+        return tuple(map(row.__getitem__, sop[a])), tuple(map(sop[row[a]].__getitem__, row))
+
+    failing = _first_row_failure(
+        additive,
+        ((b, s) for s in space.generators for b in actor.elements()),
+        itertools.product(actor.elements(), space.elements()),
+    )
+    if failing is not None:
+        b, a, a2 = failing
+        raise ActionAxiomViolation(
+            f"b*(a+a') fails at (b,a,a') = ({b},{a},{a2})", witness=failing
+        )
+
+    def composite(b, b2):
+        """Both sides of (b+b').a = b.(b'.a) over a."""
+        return rows[aop[b][b2]], tuple(map(rows[b].__getitem__, rows[b2]))
+
+    failing = _first_row_failure(
+        composite,
+        ((b, s) for s in actor.generators for b in actor.elements()),
+        itertools.product(actor.elements(), repeat=2),
+    )
+    if failing is not None:
+        b, b2, a = failing
+        raise ActionAxiomViolation(
+            f"(b+b')*a fails at (b,b',a) = ({b},{b2},{a})", witness=failing
+        )
     for a in space.elements():
         if rows[0][a] != a:
             raise ActionAxiomViolation(f"0*a fails at a = {a}", witness=a)

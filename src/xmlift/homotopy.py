@@ -1,8 +1,7 @@
 """Homotopies between crossed module morphisms and their lifting property.
 
 A homotopy from (f1, g1) to (f2, g2), both mapping (A~, B~, alpha~) into
-(A, B, alpha), is a map d: B~ -> A subject to three exhaustively checked
-conditions:
+(A, B, alpha), is a map d: B~ -> A subject to three conditions:
 
 * H1: d(b1 + b2) = d(b1) + g2(b1).d(b2),
 * H2: d(alpha~(a)) = f1(a) - f2(a),
@@ -13,13 +12,18 @@ instead breaks the expected equivalence with derivations whenever A is
 nonabelian: for the automorphism crossed module of S3 the inversion
 derivation d(b) = -b satisfies the derivation identity but fails the
 first-map variant of H1, while every derivation passes the form above.
+
+H1 is proven from the generators of B~, H2 and H3 element by element; a
+failure is reported at the first witness of the exhaustive scan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import H1Violation, H2Violation, H3Violation
+from .groups import _first_failure
 from .lifting import Lifting
 from .xmod import XModMorphism
 
@@ -34,6 +38,13 @@ class Homotopy:
 
 
 def make_homotopy(values, source: XModMorphism, target: XModMorphism) -> Homotopy:
+    """Validate H1, H2 and H3 for the value table of a homotopy.
+
+    H1 is checked for b2 in the generators of B~. Induction step: if s and
+    t pass, d(b1+s+t) = d(b1+s) + g2(b1+s).d(t) = d(b1) + g2(b1).d(s) +
+    g2(b1).(g2(s).d(t)) = d(b1) + g2(b1).d(s+t), so s+t passes, and the
+    passing elements form a subgroup containing the generators.
+    """
     if source.source != target.source or source.target != target.target:
         raise ValueError("homotopy endpoints must be parallel morphisms")
     up = source.source
@@ -45,14 +56,15 @@ def make_homotopy(values, source: XModMorphism, target: XModMorphism) -> Homotop
         if not 0 <= v < down.A.order:
             raise ValueError(f"homotopy value {v} out of range")
     A, B = down.A, down.B
-    for b1 in up.B.elements():
-        for b2 in up.B.elements():
-            lhs = vals[up.B.op[b1][b2]]
-            rhs = A.op[vals[b1]][down.act(target.f2.images[b1], vals[b2])]
-            if lhs != rhs:
-                raise H1Violation(
-                    f"H1 fails at (b1,b2) = ({b1},{b2})", witness=(b1, b2)
-                )
+    uop, act, g2 = up.B.op, down.action.table, target.f2.images
+    failing = _first_failure(
+        lambda b1, b2: vals[uop[b1][b2]] != A.op[vals[b1]][act[g2[b1]][vals[b2]]],
+        ((b1, s) for s in up.B.generators for b1 in up.B.elements()),
+        itertools.product(up.B.elements(), repeat=2),
+    )
+    if failing is not None:
+        b1, b2 = failing
+        raise H1Violation(f"H1 fails at (b1,b2) = ({b1},{b2})", witness=failing)
     for a in up.A.elements():
         lhs = vals[up.boundary.images[a]]
         rhs = A.op[source.f1.images[a]][A.inverse[target.f1.images[a]]]

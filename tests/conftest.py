@@ -11,6 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from xmlift import (
     automorphism_xmod,
@@ -25,6 +26,11 @@ from xmlift import (
 from xmlift.groups import conjugation_action, identity_hom, trivial_action, zero_hom
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# every run draws the same examples, none is timed, and no failure from an
+# earlier run is replayed, so property tests cannot flake between runs
+settings.register_profile("xmlift", derandomize=True, deadline=None, database=None)
+settings.load_profile("xmlift")
 
 
 @lru_cache(maxsize=None)

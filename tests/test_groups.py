@@ -24,7 +24,7 @@ from xmlift import (
     quotient,
     subgroups,
 )
-from xmlift.groups import identity_hom, make_action, zero_hom
+from xmlift.groups import generating_sequence, identity_hom, make_action, zero_hom
 
 
 def z_table(n):
@@ -38,6 +38,31 @@ def test_trivial_group():
     g = make_group([[0]])
     assert g.order == 1
     assert g.identity == 0
+
+
+def test_trivial_group_validators_still_check_the_identity():
+    # generating_sequence of the trivial group is empty, so the validators
+    # check over (0,) instead, or f(0) = 0 and 0.a = a would go unchecked
+    trivial, z2, z3 = make_group([[0]]), catalog_group("Z2"), catalog_group("Z3")
+    assert generating_sequence(trivial) == []
+    assert trivial.generators == (0,)
+    with pytest.raises(errors.NotHomomorphism) as exc:
+        make_hom(trivial, z2, (1,))
+    assert exc.value.witness == (0, 0)
+    with pytest.raises(errors.ActionAxiomViolation) as exc:
+        make_action(trivial, z2, [[1, 0]])
+    assert exc.value.witness == (0, 0, 0)
+    # negation is an automorphism of Z3, but 0 must act as the identity
+    with pytest.raises(errors.ActionAxiomViolation) as exc:
+        make_action(trivial, z3, [[0, 2, 1]])
+    assert exc.value.witness == (0, 0, 1)
+    assert "(b+b')" in str(exc.value)
+
+
+def test_identity_off_index_zero_is_relabeled():
+    g = make_group([[1, 0], [0, 1]])
+    assert g.op == ((0, 1), (1, 0))
+    assert g.inverse == (0, 1)
 
 
 def test_z4_valid():
