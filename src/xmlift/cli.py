@@ -9,6 +9,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -76,7 +77,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = _Parser(prog="xmlift", add_help=True)
     parser.add_argument("--fixture", help="path to a fixture document")
     parser.add_argument(
@@ -435,6 +438,19 @@ def _error_report(command: str | None, err: Exception) -> Report:
     return rb.build()
 
 
+@functools.lru_cache(maxsize=16)
+def _document(text: str) -> FixtureDocument:
+    """The validated document of ``text``, kept for the 16 texts used last.
+
+    The key is the whole text, so a hit needs the same text, not the same
+    path. Every object of a document is a frozen dataclass of tuples, so
+    one parse serves every later call; each command still computes its
+    report from the objects. A rejected text raises and is not kept, so it
+    is parsed, and reported alike, on every call.
+    """
+    return parse_fixture(text)
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Run the CLI and return (exit code, rendered output)."""
     command = None
@@ -459,7 +475,7 @@ def run(argv: list[str]) -> tuple[int, str]:
                     text = fh.read()
             except OSError as err:
                 raise UsageError(f"cannot read fixture: {err}")
-            document = parse_fixture(text)
+            document = _document(text)
             report = run_command(
                 command, document, ns.args, size_bound=ns.size_bound
             )

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .groups import (
     GroupHom,
+    _closing_images,
     _crossed_hom_search,
     _first_failure,
     _hom_failure,
@@ -184,9 +185,10 @@ def enumerate_derivations(
     """Enumerate Der(B, A) and build the Whitehead semigroup structure.
 
     A derivation is a crossed homomorphism B -> A, determined by its values
-    on the generators of B; the generator-schedule search tries every
-    element of A for each generator and keeps the maps satisfying the
-    derivation identity on all pairs. Each element is then validated once.
+    on the generators of B; the generator-schedule search tries, for each
+    generator g, every element of A with which d returns to 0 along the
+    powers of g (``groups._closing_images``), and keeps the maps satisfying
+    the derivation identity. Each element is then validated once.
 
     The product table is built by evaluating each circle product from the
     values and looking it up among the elements, which proves closure; the
@@ -202,9 +204,9 @@ def enumerate_derivations(
     gens = generating_sequence(B)
     if A.order ** max(len(gens), 1) > size_bound:
         raise SizeBound("pruned search space exceeds the configured bound")
-    found = _crossed_hom_search(
-        B, A, xm.action.table, gens, [list(A.elements())] * len(gens)
-    )
+    act = xm.action.table
+    candidates = [_closing_images(B, A, act, g, A.elements()) for g in gens]
+    found = _crossed_hom_search(B, A, act, gens, candidates)
     elems = [make_derivation(xm, values) for values in found]
     pos = {d.values: i for i, d in enumerate(elems)}
 

@@ -102,6 +102,14 @@ class FixtureDocument:
         return [d.name for d in self.declarations if d.kind == kind]
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser:
     def __init__(self):
         self.declarations: list[Declaration] = []
@@ -123,32 +131,37 @@ class _Parser:
 
     @staticmethod
     def ints(tokens: list[str], line: int) -> list[int]:
-        out = []
-        for tok in tokens:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise FixtureSyntaxError(f"expected an integer, got '{tok}'", line=line)
-        return out
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            bad = next(tok for tok in tokens if not _is_int(tok))
+            raise FixtureSyntaxError(f"expected an integer, got '{bad}'", line=line)
 
     @staticmethod
     def rows(text: str, line: int, *, allow_dash: bool = False) -> list[list[int]]:
+        """Integer rows split at ';'; with ``allow_dash`` a '-' cell reads as -1.
+
+        Each row is converted in one pass; only a row that fails it is
+        walked cell by cell, for the dashes or the first bad cell.
+        """
         rows = []
         for chunk in text.split(";"):
             cells = chunk.split()
             if not cells:
                 raise FixtureSyntaxError("empty table row", line=line)
-            row = []
-            for tok in cells:
-                if allow_dash and tok == "-":
-                    row.append(-1)
-                    continue
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise FixtureSyntaxError(
-                        f"expected an integer cell, got '{tok}'", line=line
-                    )
+            try:
+                row = list(map(int, cells))
+            except ValueError:
+                row = []
+                for tok in cells:
+                    if allow_dash and tok == "-":
+                        row.append(-1)
+                    elif _is_int(tok):
+                        row.append(int(tok))
+                    else:
+                        raise FixtureSyntaxError(
+                            f"expected an integer cell, got '{tok}'", line=line
+                        )
             rows.append(row)
         return rows
 

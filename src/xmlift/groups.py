@@ -323,21 +323,31 @@ def image(h: GroupHom) -> Subgroup:
 
 
 def center(group: FiniteGroup) -> Subgroup:
+    """The elements commuting with every element, found from ``group.generators``.
+
+    Induction step: if a commutes with s and t, a.(s.t) = s.a.t = (s.t).a,
+    so a commutes with every product of generators, that is with all of G.
+    """
+    op = group.op
     elems = [
-        a
-        for a in group.elements()
-        if all(group.op[a][b] == group.op[b][a] for b in group.elements())
+        a for a in group.elements() if all(op[a][s] == op[s][a] for s in group.generators)
     ]
     return make_subgroup(group, elems)
 
 
 def is_normal(sub: Subgroup, group: FiniteGroup) -> bool:
-    """Exhaustive conjugation scan; ``sub`` must be a subgroup of ``group``."""
+    """Whether s.N.s^-1 lies in N for each s in ``group.generators``, which
+    proves N normal; ``sub`` must be a subgroup of ``group``.
+
+    Induction step: if s.N.s^-1 and t.N.t^-1 lie in N, then
+    (s.t).N.(s.t)^-1 = s.(t.N.t^-1).s^-1 lies in s.N.s^-1, so in N, and
+    every element of G is a product of generators.
+    """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
     member = set(sub.elements)
     return all(
-        group.conj(g, a) in member for g in group.elements() for a in sub.elements
+        group.conj(s, a) in member for s in group.generators for a in sub.elements
     )
 
 
@@ -495,6 +505,29 @@ def _evaluation_schedule(
                     fresh.append(p)
         frontier = fresh
     return schedule
+
+
+def _closing_images(
+    source: FiniteGroup, target: FiniteGroup, act: Table, g: int, candidates
+) -> list[int]:
+    """The candidates c for f(g) with which f returns to 0 along the powers of g.
+
+    Forcing f(g^(i+1)) = f(g^i) + g^i.c from f(0) = 0 must give f(g^m) = 0
+    at the order m of g, since g^m = 0; every f with f(x+y) = f(x) + x.f(y)
+    does, so the others need not be searched. With identity rows this is
+    c^m = 0, the order test ``enumerate_homs`` makes.
+    """
+    sop, top = source.op, target.op
+
+    def closes(c):
+        x, v = 0, 0
+        while True:
+            v = top[v][act[x][c]]
+            x = sop[x][g]
+            if x == 0:
+                return v == 0
+
+    return [c for c in candidates if closes(c)]
 
 
 def _crossed_hom_search(

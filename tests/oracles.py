@@ -27,12 +27,20 @@ from xmlift.errors import (
     NoInverse,
     NotADerivation,
     NotAssociative,
+    NotASubgroup,
     NotEquivariant,
     NotHomomorphism,
     SquareNotCommuting,
 )
 from xmlift.groupoid import UNDEFINED, GGAction, GroupGroupoid
-from xmlift.groups import FiniteGroup, GroupAction, GroupHom, _evaluation_schedule
+from xmlift.groups import (
+    FiniteGroup,
+    GroupAction,
+    GroupHom,
+    Subgroup,
+    _evaluation_schedule,
+    make_subgroup,
+)
 from xmlift.homotopy import Homotopy
 from xmlift.xmod import CrossedModule, XModMorphism
 
@@ -96,6 +104,24 @@ def make_hom(source: FiniteGroup, target: FiniteGroup, images) -> GroupHom:
             if images[source.op[x][y]] != target.op[images[x]][images[y]]:
                 raise NotHomomorphism(f"map({x}+{y}) != map({x})+map({y})", witness=(x, y))
     return GroupHom(source=source, target=target, images=images)
+
+
+def center(group: FiniteGroup) -> Subgroup:
+    elems = [
+        a
+        for a in group.elements()
+        if all(group.op[a][b] == group.op[b][a] for b in group.elements())
+    ]
+    return make_subgroup(group, elems)
+
+
+def is_normal(sub: Subgroup, group: FiniteGroup) -> bool:
+    if sub.parent != group:
+        raise NotASubgroup("subgroup belongs to a different parent group")
+    member = set(sub.elements)
+    return all(
+        group.conj(g, a) in member for g in group.elements() for a in sub.elements
+    )
 
 
 def make_action(actor: FiniteGroup, space: FiniteGroup, table) -> GroupAction:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 
 import pytest
 
+import xmlift.cli as cli
 from xmlift.cli import run
 from xmlift.report import parse_machine, render_machine
 
@@ -177,3 +179,92 @@ def test_check_reports_every_declaration(golden_dir):
     assert report.value("status") == "ok"
     assert report.value("decl.4.kind") == "xmod"
     assert report.value("decl.4.class") == "transitive"
+
+
+# -- one process, many calls: the parsed-document cache and the shared parser --------
+
+
+def test_golden_cases_interleaved_in_one_process(golden_dir):
+    # every case twice, in both formats, in a shuffled order: a document
+    # parsed for one call serves later calls without changing any report
+    calls = [(name, argv, fmt) for name, argv in GOLDEN_CASES for fmt in ("machine", "human")] * 2
+    random.Random(4).shuffle(calls)
+    for name, argv, fmt in calls:
+        expected = (golden_dir / f"{name}.{fmt}.txt").read_text(encoding="utf-8")
+        code, out = run(argv + ["--format", fmt])
+        assert out == expected, (name, fmt)
+        assert (code != 0) == name.endswith("_fail")
+
+
+@pytest.fixture
+def parse_counter(monkeypatch):
+    """Counts the calls of ``parse_fixture`` made by the CLI, from an empty cache."""
+    calls = []
+    real = cli.parse_fixture
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    cli._document.cache_clear()
+    monkeypatch.setattr(cli, "parse_fixture", counted)
+    yield calls
+    cli._document.cache_clear()
+
+
+def test_repeated_text_parses_once(parse_counter):
+    argv = ["--fixture", "fixtures/z4.xmf", "--format", "machine"]
+    outputs = [run(argv + args) for args in (["check"], ["classify", "xm"], ["check"])]
+    assert len(parse_counter) == 1
+    assert outputs[0] == outputs[2]
+
+
+def test_rewritten_fixture_is_parsed_again(tmp_path, parse_counter):
+    path = tmp_path / "doc.xmf"
+    argv = ["--fixture", str(path), "--format", "machine", "classify", "xm"]
+    path.write_text("A : group = catalog Z4\nB : group = catalog Z2\n"
+                    "al : hom = A -> B : 0 1 0 1\ntr : action = B on A : trivial\n"
+                    "xm : xmod = A B al tr\n", encoding="utf-8")
+    code, first = run(argv)
+    assert code == 0 and parse_machine(first).value("class") == "transitive"
+    # same path, new text: (Z4, Z4, id, trivial) has an injective boundary
+    path.write_text("A : group = catalog Z4\nidA : hom = A -> A : 0 1 2 3\n"
+                    "tr : action = A on A : trivial\nxm : xmod = A A idA tr\n", encoding="utf-8")
+    code, second = run(argv)
+    assert code == 0 and parse_machine(second).value("boundary.injective") == "true"
+    assert len(parse_counter) == 2
+
+
+def test_rejected_text_is_parsed_on_every_call(tmp_path, parse_counter):
+    path = tmp_path / "bad.xmf"
+    path.write_text("A : group = catalog Z4\nK : group = table 0 1 ; 1 1\n", encoding="utf-8")
+    argv = ["--fixture", str(path), "--format", "machine", "check"]
+    results = [run(argv) for _ in range(3)]
+    assert len(parse_counter) == 3
+    assert results[0] == results[1] == results[2]
+    code, out = results[0]
+    report = parse_machine(out)
+    assert report.value("error.category") == "ValidationError"
+    assert report.value("error.message").startswith("line 2: declaration 'K' is invalid")
+    assert code != 0
+
+
+def _human_usage_error(message):
+    return (
+        "xmlift report: error\n====================\n"
+        f"error.category: UsageError\nerror.message: {message}\nstatus: error\n"
+    )
+
+
+def test_shared_parser_between_usage_errors(golden_dir):
+    # the parser is built once per process; an argv it rejects leaves it
+    # as it was (a rejected argv is reported in the human format)
+    bad_int = _human_usage_error("argument --size-bound: invalid int value: 'many'")
+    assert run(["--size-bound", "many", "--format", "machine", "check"]) == (2, bad_int)
+    for fmt in ("machine", "human"):
+        expected = (golden_dir / f"classify_z4.{fmt}.txt").read_text(encoding="utf-8")
+        assert run(["--fixture", "fixtures/z4.xmf", "classify", "xm", "--format", fmt]) == (0, expected)
+    assert run(["--fixture", "fixtures/z4.xmf", "--frobnicate", "check"]) == (
+        2, _human_usage_error("unrecognized arguments: --frobnicate"),
+    )
+    assert run(["--size-bound", "many", "--format", "machine", "check"]) == (2, bad_int)

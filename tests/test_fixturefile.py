@@ -105,3 +105,33 @@ def test_repo_fixture_files_parse(fixtures_dir):
     for path in sorted(fixtures_dir.glob("*.xmf")):
         doc = parse_fixture(path.read_text(encoding="utf-8"))
         assert doc.declarations, path.name
+
+
+def test_bad_cell_in_the_middle_of_a_long_row():
+    # a row is converted in one pass; the first bad cell is still named
+    cells = [str(k) for k in range(40)]
+    cells[17], cells[30] = "x7", "y"
+    text = "A : group = catalog Z4\n\nbad : group = table " + " ".join(cells) + "\n"
+    with pytest.raises(errors.FixtureSyntaxError) as exc:
+        parse_fixture(text)
+    assert str(exc.value) == "line 3: expected an integer cell, got 'x7'"
+    assert exc.value.line == 3
+
+
+def test_dash_outside_a_ggaction_row_is_a_bad_cell():
+    with pytest.raises(errors.FixtureSyntaxError) as exc:
+        parse_fixture("K : group = table 0 1 ; 1 -\n")
+    assert str(exc.value) == "line 1: expected an integer cell, got '-'"
+    assert exc.value.line == 1
+    text = MINIMAL + "ng : action = B on A : rows 0 1 2 3 ; 0 - 2 1\n"
+    with pytest.raises(errors.FixtureSyntaxError) as exc:
+        parse_fixture(text)
+    assert str(exc.value) == "line 7: expected an integer cell, got '-'"
+    assert exc.value.line == 7
+
+
+def test_bad_image_names_the_first_bad_token():
+    with pytest.raises(errors.FixtureSyntaxError) as exc:
+        parse_fixture(MINIMAL + "bad : hom = A -> B : 0 1 one 1.5\n")
+    assert str(exc.value) == "line 7: expected an integer, got 'one'"
+    assert exc.value.line == 7

@@ -33,14 +33,21 @@ from xmlift import (
     one_object_group_groupoid,
     pair_group_groupoid,
 )
-from xmlift.derivations import Derivation, derivation_to_endomorphism_morphism
+from xmlift.derivations import (
+    Derivation,
+    brute_force_derivations,
+    derivation_to_endomorphism_morphism,
+)
 from xmlift.groupoid import UNDEFINED, make_group_groupoid
 from xmlift.groups import (
     FiniteGroup,
     _crossed_hom_search,
+    center,
     generating_sequence,
+    is_normal,
     make_action,
     make_hom,
+    subgroups,
 )
 
 SMALL = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "S3"]
@@ -86,13 +93,17 @@ def random_tables(draw):
     return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
+def relabel(g, perm):
+    """The Cayley table of ``g`` with each element x renamed perm[x]."""
+    back = {p: i for i, p in enumerate(perm)}
+    return [[perm[g.op[back[i]][back[j]]] for j in g.elements()] for i in g.elements()]
+
+
 @st.composite
 def relabeled_groups(draw):
     """A catalog group relabeled at random, with up to three cells redrawn."""
     g = catalog_group(draw(st.sampled_from(SMALL + ["D4", "Q8"])))
-    perm = draw(st.permutations(range(g.order)))
-    back = {p: i for i, p in enumerate(perm)}
-    table = [[perm[g.op[back[i]][back[j]]] for j in g.elements()] for i in g.elements()]
+    table = relabel(g, draw(st.permutations(range(g.order))))
     return draw(corruptions(table, st.integers(0, g.order - 1)))
 
 
@@ -131,6 +142,29 @@ def test_light_test_tries_index_zero():
     table = [[0, 2, 1], [1, 1, 2], [2, 2, 1]]
     name, _, witness = agree(make_group, oracles.make_group, table)
     assert (name, witness) == ("NotAssociative", (0, 0, 1))
+
+
+# -- normal subgroups and the center ------------------------------------------------------
+
+
+@st.composite
+def relabeled(draw, names):
+    """(name, the catalog group ``name`` under a random relabeling)."""
+    name = draw(st.sampled_from(names))
+    g = catalog_group(name)
+    return name, make_group(relabel(g, draw(st.permutations(range(g.order)))))
+
+
+@given(relabeled(SMALL + ["Z6", "D4", "Q8"]))
+@settings(max_examples=100)
+def test_is_normal_and_center_match_oracle(case):
+    name, group = case
+    assert center(group) == oracles.center(group)
+    subs = subgroups(group)
+    verdicts = [is_normal(sub, group) for sub in subs]
+    assert verdicts == [oracles.is_normal(sub, group) for sub in subs]
+    # S3 and D4 have subgroups of both kinds; every subgroup of Q8 is normal
+    assert set(verdicts) == ({True, False} if name in ("S3", "D4") else {True})
 
 
 # -- homomorphisms and actions ------------------------------------------------------------
@@ -270,6 +304,48 @@ def test_make_derivation_matches_oracle(name, data):
     start = data.draw(st.sampled_from(enumerate_derivations(xm).elements)).values
     (values,) = data.draw(corruptions([start], st.integers(0, xm.A.order - 1)))
     agree(make_derivation, oracles.make_derivation, xm, values)
+
+
+@lru_cache(maxsize=None)
+def small_crossed_modules():
+    """Every crossed module (A, B, boundary, action) over groups in SMALL with
+    |A| ** |B| small enough for the brute-force scan."""
+    out = []
+    for a in SMALL:
+        for b in SMALL:
+            A, B = catalog_group(a), catalog_group(b)
+            if A.order**B.order > 50_000:
+                continue
+            for images in homs(a, b):
+                for rows in actions(b, a):
+                    boundary, action = make_hom(A, B, images), make_action(B, A, rows)
+                    try:
+                        out.append(make_crossed_module(A, B, boundary, action))
+                    except errors.XmliftError:
+                        pass
+    return out
+
+
+@st.composite
+def relabeled_crossed_modules(draw):
+    """A crossed module with B relabeled at random, which moves the
+    generators of B the derivation search forces along."""
+    xm = draw(st.sampled_from(small_crossed_modules()))
+    B = xm.B
+    perm = [0, *draw(st.permutations(range(1, B.order)))]
+    B2 = make_group(relabel(B, perm))
+    boundary = make_hom(xm.A, B2, [perm[v] for v in xm.boundary.images])
+    action = make_action(B2, xm.A, [xm.action.table[perm.index(b)] for b in B.elements()])
+    return make_crossed_module(xm.A, B2, boundary, action)
+
+
+@given(relabeled_crossed_modules())
+@settings(max_examples=80)
+def test_enumerate_derivations_matches_brute_force(xm):
+    # the search drops generator images whose powers do not return to 0;
+    # the scan over all |A| ** |B| maps must find the same derivations
+    found = [d.values for d in enumerate_derivations(xm).elements]
+    assert found == [d.values for d in brute_force_derivations(xm)]
 
 
 # -- group-groupoids and their actions ----------------------------------------------------
